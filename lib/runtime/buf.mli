@@ -29,16 +29,24 @@ val sub : t -> int -> int -> t
 
 (** [blit src spos dst dpos len] copies with [memmove] semantics: always
     correct even when [src] and [dst] alias the same storage and the
-    ranges overlap in either direction.  The direct zero-copy datapath
-    must use this one. *)
+    ranges overlap in either direction.  {!copy_run} hands long
+    segments to it. *)
 val blit : t -> int -> t -> int -> int -> unit
 
-(** Same copy, tuned for staging pack/unpack where one side is a private
-    staging buffer and overlap is impossible: short segments take a
-    tight loop instead of the bigarray blit's call overhead.  Falls back
-    to {!blit} when [src == dst] and the ranges overlap (same-wrapper
-    aliasing is the only kind it can see). *)
-val unsafe_blit : t -> int -> t -> int -> int -> unit
+(** [copy_run src spos sstride dst dpos dstride len count] copies
+    [count] segments of [len] elements: segment [i] goes from
+    [src.(spos + i * sstride ..)] to [dst.(dpos + i * dstride ..)], in
+    order of [i].  Strides may be zero or negative.  Before any write it
+    checks the lowest and highest index both sides touch and raises
+    [Invalid_argument] if either leaves its buffer; the copy itself then
+    runs unchecked — one loop for unit segments, a nested loop for short
+    ones, {!blit} for long ones.  Does nothing when [len <= 0] or
+    [count <= 0].
+
+    Distinct wrappers are assumed disjoint.  When [src == dst] and the
+    two spans intersect, every source element is read before any write
+    (memmove semantics, in either overlap direction). *)
+val copy_run : t -> int -> int -> t -> int -> int -> int -> int -> unit
 
 val of_array : float array -> t
 val to_array : t -> float array

@@ -17,16 +17,25 @@
 
    - the *zero-copy* path (default): messages whose memoized datapath is
      [Redist.Direct] — self-messages, and messages between globally
-     addressed endpoints — copy their runs payload to payload with
-     overlap-safe [Buf.blit]s and touch no staging buffer at all
-     (charged to [zero_copy_runs]); everything else stages as below;
+     addressed endpoints — copy their runs payload to payload and touch
+     no staging buffer at all (charged to [zero_copy_runs]); everything
+     else stages as below;
    - the *staged* path ([force_staged], --staged / HPFC_FORCE_STAGED):
      every cross-processor message packs its compiled runs into a pooled
-     staging buffer with [Buf.unsafe_blit] and unpacks on the receive
-     side — PR 4's behaviour, kept continuously differential-tested;
+     staging buffer and unpacks on the receive side — the pre-zero-copy
+     behaviour, kept continuously differential-tested;
    - the *scalar* path ([force_scalar], --scalar / HPFC_FORCE_SCALAR):
      the original per-element endpoint closures, the oracle both blit
      paths are tested against; it stages every message.
+
+   Every copy site of the two blit paths — [pack_runs], [unpack_runs],
+   [run_direct], and the collective lowering's [pack_slice] /
+   [unpack_slice] — moves a whole strided run with one
+   [Buf.copy_run]: both buffers are range-checked once per run, before
+   the first write, and the copy then runs unchecked (a strided loop
+   for 1-element segments, a nested loop for short ones, memmove for
+   long ones).  No call is made per segment; the slice functions walk
+   their window run by run, so whole repetitions inside it are one call.
 
    Staging buffers come from a size-classed pool, so steady-state remaps
    allocate nothing per message (and nothing at all on the zero-copy
@@ -205,31 +214,25 @@ let note_lease (mach : Machine.t) =
 (* --- segment copies --------------------------------------------------------- *)
 
 (* Pack a message's runs from the source payload into the first
-   [m_count] slots of [staging], in run order (= row-major box order).
-   Staging buffers are private, so the unsafe (no-overlap) blit is
-   fine. *)
+   [m_count] slots of [staging], in run order (= row-major box order):
+   one range-checked [Buf.copy_run] per run.  Staging buffers are
+   private, so source and staging never alias. *)
 let pack_runs (runs : Redist.run array) (sbuf : Buf.t) staging =
   let k = ref 0 in
   Array.iter
     (fun (r : Redist.run) ->
-      let sp = ref r.Redist.r_src in
-      for _ = 1 to r.Redist.r_count do
-        Buf.unsafe_blit sbuf !sp staging !k r.Redist.r_len;
-        k := !k + r.Redist.r_len;
-        sp := !sp + r.Redist.r_src_stride
-      done)
+      Buf.copy_run sbuf r.Redist.r_src r.Redist.r_src_stride staging !k
+        r.Redist.r_len r.Redist.r_len r.Redist.r_count;
+      k := !k + (r.Redist.r_len * r.Redist.r_count))
     runs
 
 let unpack_runs (runs : Redist.run array) staging (dbuf : Buf.t) =
   let k = ref 0 in
   Array.iter
     (fun (r : Redist.run) ->
-      let dp = ref r.Redist.r_dst in
-      for _ = 1 to r.Redist.r_count do
-        Buf.unsafe_blit staging !k dbuf !dp r.Redist.r_len;
-        k := !k + r.Redist.r_len;
-        dp := !dp + r.Redist.r_dst_stride
-      done)
+      Buf.copy_run staging !k r.Redist.r_len dbuf r.Redist.r_dst
+        r.Redist.r_dst_stride r.Redist.r_len r.Redist.r_count;
+      k := !k + (r.Redist.r_len * r.Redist.r_count))
     runs
 
 (* The message's runs for a (src, dst) endpoint pair (memoized on the
@@ -247,49 +250,21 @@ let message_direct ~src ~dst (m : Redist.message) =
   | Redist.Direct _ -> true
   | Redist.Staged _ -> false
 
-(* Copy a message's runs payload to payload, no staging buffer.  The two
-   endpoint buffers must be disjoint unless they are physically the same
-   wrapper (store payloads never alias across copies; an in-place copy
-   exposes one buffer to both endpoints).  A same-wrapper copy is
-   overlap-safe run by run — memmove semantics: segments iterate away
-   from the direction the destination overtakes the source, and each
-   segment copies through the overlap-safe [Buf.blit]. *)
+(* Copy a message's runs payload to payload, no staging buffer: one
+   [Buf.copy_run] per run.  The two endpoint buffers must be disjoint
+   unless they are physically the same wrapper (store payloads never
+   alias across copies; an in-place copy exposes one buffer to both
+   endpoints).  [Buf.copy_run] gives a same-wrapper run memmove
+   semantics — every source element read before any write — so in-place
+   gathers and scatters are correct in either overlap direction. *)
 let run_direct ~src ~dst (m : Redist.message) =
   let sbuf = src.buffer ~rank:m.Redist.m_from
   and dbuf = dst.buffer ~rank:m.Redist.m_to in
-  let runs = runs_of ~src ~dst m in
-  if sbuf == dbuf then
-    Array.iter
-      (fun (r : Redist.run) ->
-        if r.Redist.r_dst <= r.Redist.r_src then begin
-          let sp = ref r.Redist.r_src and dp = ref r.Redist.r_dst in
-          for _ = 1 to r.Redist.r_count do
-            Buf.blit sbuf !sp dbuf !dp r.Redist.r_len;
-            sp := !sp + r.Redist.r_src_stride;
-            dp := !dp + r.Redist.r_dst_stride
-          done
-        end
-        else begin
-          let last = r.Redist.r_count - 1 in
-          let sp = ref (r.Redist.r_src + (last * r.Redist.r_src_stride))
-          and dp = ref (r.Redist.r_dst + (last * r.Redist.r_dst_stride)) in
-          for _ = 1 to r.Redist.r_count do
-            Buf.blit sbuf !sp dbuf !dp r.Redist.r_len;
-            sp := !sp - r.Redist.r_src_stride;
-            dp := !dp - r.Redist.r_dst_stride
-          done
-        end)
-      runs
-  else
-    Array.iter
-      (fun (r : Redist.run) ->
-        let sp = ref r.Redist.r_src and dp = ref r.Redist.r_dst in
-        for _ = 1 to r.Redist.r_count do
-          Buf.unsafe_blit sbuf !sp dbuf !dp r.Redist.r_len;
-          sp := !sp + r.Redist.r_src_stride;
-          dp := !dp + r.Redist.r_dst_stride
-        done)
-      runs
+  Array.iter
+    (fun (r : Redist.run) ->
+      Buf.copy_run sbuf r.Redist.r_src r.Redist.r_src_stride dbuf
+        r.Redist.r_dst r.Redist.r_dst_stride r.Redist.r_len r.Redist.r_count)
+    (runs_of ~src ~dst m)
 
 (* On-processor move: no staging buffer, no message.  The blit path
    copies payload to payload directly, run by run. *)
@@ -331,21 +306,67 @@ let run_message ?(pool = default_pool) mach ~src ~dst (m : Redist.message) =
   Machine.record mach
     (Machine.Message { from_rank = m.Redist.m_from; to_rank = m.Redist.m_to; count = m.Redist.m_count })
 
-(* Pack positions [sl_off, sl_off + sl_len) of a message's row-major box
-   order into the first [sl_len] slots of [staging] — the collective
-   lowering's unit of transfer.  A full-range slice degenerates to
-   {!pack_runs}. *)
-let pack_slice (runs : Redist.run array) (sbuf : Buf.t) staging ~off ~len =
-  let k = ref 0 in
-  Redist.iter_run_slice runs ~off ~len (fun s _ n ->
-      Buf.unsafe_blit sbuf s staging !k n;
-      k := !k + n)
+(* Copy positions [off, off + len) of a message's row-major box order
+   between the payload and the first [len] slots of [staging] — the
+   collective lowering's unit of transfer; [pack] picks the direction.
+   The window is walked run by run: in each run it meets, the clipped
+   first and last repetitions are single pieces and every whole
+   repetition between them is one strided [Buf.copy_run].  A full-range
+   window is exactly {!pack_runs} / {!unpack_runs}. *)
+let copy_slice ~pack (runs : Redist.run array) (payload : Buf.t) staging ~off
+    ~len =
+  let stop = off + len in
+  (* [count] repetitions of [n] elements at payload offset [p] (stride
+     [ps]) and staging slot [k] (packed, stride [n]) *)
+  let copy p ps k n count =
+    if pack then Buf.copy_run payload p ps staging k n n count
+    else Buf.copy_run staging k n payload p ps n count
+  in
+  let base = ref 0 and i = ref 0 in
+  while !i < Array.length runs && !base < stop do
+    let r = runs.(!i) in
+    let rl = r.Redist.r_len in
+    let total = rl * r.Redist.r_count in
+    let p0 = if pack then r.Redist.r_src else r.Redist.r_dst
+    and ps = if pack then r.Redist.r_src_stride else r.Redist.r_dst_stride in
+    if rl > 0 && !base + total > off then begin
+      let b = !base in
+      (* repetition [j] covers positions [b + j * rl, b + (j + 1) * rl) *)
+      let clipped j =
+        let s = b + (j * rl) in
+        let lo = if s > off then s else off
+        and hi = if s + rl < stop then s + rl else stop in
+        if lo < hi then
+          copy (p0 + (j * ps) + (lo - s)) ps (lo - off) (hi - lo) 1
+      in
+      (* [i0, i1]: repetitions meeting the window; [w0, w1]: those it
+         covers whole *)
+      let i0 = if off <= b then 0 else (off - b) / rl
+      and i1 =
+        if stop >= b + total then r.Redist.r_count - 1
+        else (stop - b - 1) / rl
+      in
+      let w0 = if off <= b + (i0 * rl) then i0 else i0 + 1
+      and w1 = if stop >= b + ((i1 + 1) * rl) then i1 else i1 - 1 in
+      if w0 > w1 then begin
+        clipped i0;
+        if i1 > i0 then clipped i1
+      end
+      else begin
+        if w0 > i0 then clipped i0;
+        copy (p0 + (w0 * ps)) ps (b + (w0 * rl) - off) rl (w1 - w0 + 1);
+        if w1 < i1 then clipped i1
+      end
+    end;
+    base := !base + total;
+    incr i
+  done
 
-let unpack_slice (runs : Redist.run array) staging (dbuf : Buf.t) ~off ~len =
-  let k = ref 0 in
-  Redist.iter_run_slice runs ~off ~len (fun _ d n ->
-      Buf.unsafe_blit staging !k dbuf d n;
-      k := !k + n)
+let pack_slice runs sbuf staging ~off ~len =
+  copy_slice ~pack:true runs sbuf staging ~off ~len
+
+let unpack_slice runs staging dbuf ~off ~len =
+  copy_slice ~pack:false runs dbuf staging ~off ~len
 
 (* Pack, deliver, unpack one slice of a cross-processor message — the
    collective analogue of {!run_message}.  The staging buffer only ever

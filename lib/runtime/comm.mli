@@ -14,8 +14,8 @@
     {!Buf.t}, and data movement runs on one of three paths: the default
     *zero-copy* path copies [Redist.Direct]-eligible messages
     (self-messages, globally addressed endpoints) payload to payload
-    with overlap-safe {!Buf.blit}s and no staging buffer; the *staged*
-    path ({!force_staged}) packs every message's compiled runs into a
+    with no staging buffer; the *staged* path ({!force_staged}) packs
+    every message's compiled runs into a
     pooled staging buffer and unpacks on the receive side; the *scalar*
     path ({!force_scalar}) keeps the original per-element closures as a
     differential oracle.  Modeled counters (messages, volume, steps,
@@ -119,7 +119,9 @@ val default_pool : Pool.t
 
 (** [pack_runs runs payload staging] copies a message's runs from the
     source payload into the first [m_count] slots of [staging], in run
-    order (= row-major box order, {!Redist.iter_box}'s packing walk). *)
+    order (= row-major box order, {!Redist.iter_box}'s packing walk).
+    Every run is one {!Buf.copy_run}: range-checked on both buffers
+    once, then copied unchecked. *)
 val pack_runs : Redist.run array -> Buf.t -> Buf.t -> unit
 
 (** [unpack_runs runs staging payload] is the inverse walk on the
@@ -134,8 +136,8 @@ val message_direct : src:endpoint -> dst:endpoint -> Redist.message -> bool
 (** Copy a message's runs payload to payload with no staging buffer.
     The endpoint buffers must be disjoint unless they are physically the
     same wrapper; a same-wrapper (in-place) copy gets memmove semantics
-    run by run — segments iterate away from the overtaking direction and
-    each copies through the overlap-safe {!Buf.blit}.  Records nothing;
+    run by run ({!Buf.copy_run} reads every source element of a run
+    before writing any).  Records nothing;
     callers record the [Message] event for cross-processor messages. *)
 val run_direct : src:endpoint -> dst:endpoint -> Redist.message -> unit
 
@@ -157,7 +159,10 @@ val run_message :
 (** [pack_slice runs payload staging ~off ~len] copies positions
     [off, off + len) of a message's row-major box order into the first
     [len] slots of [staging] — the collective lowering's unit of
-    transfer ({!Redist.iter_run_slice}'s walk). *)
+    transfer.  The window is walked run by run: in each run it meets,
+    the clipped first and last repetitions are single pieces and all
+    whole repetitions between them are one strided {!Buf.copy_run}, so
+    a full-range window costs what {!pack_runs} does. *)
 val pack_slice : Redist.run array -> Buf.t -> Buf.t -> off:int -> len:int -> unit
 
 (** [unpack_slice runs staging payload ~off ~len] is the inverse walk on

@@ -745,46 +745,6 @@ let message_runs ~src ~dst (m : message) =
 let nb_run_segments runs =
   Array.fold_left (fun acc r -> acc + r.r_count) 0 runs
 
-(* Visit the pieces of a message's run walk covering elements
-   [off, off + len) of its row-major payload order (= the staging-buffer
-   order of the pack walk); [f src dst n] gets the absolute flat offsets
-   and the length of each contiguous piece, in walk order.  The
-   dynamic-slice primitive of the collective lowering: a window of the
-   staged payload addressed without materializing the whole message. *)
-let iter_run_slice (runs : run array) ~off ~len f =
-  let stop = off + len in
-  let pos = ref 0 in
-  Array.iter
-    (fun r ->
-      let base = !pos in
-      let total = r.r_len * r.r_count in
-      if r.r_len > 0 && base < stop && base + total > off then begin
-        (* jump straight to the repetitions whose [s0, s0 + r_len)
-           window meets [off, stop); only the first and last of those
-           can need clipping *)
-        let i0 = if off <= base then 0 else (off - base) / r.r_len
-        and i1 =
-          if stop >= base + total then r.r_count - 1
-          else (stop - base - 1) / r.r_len
-        in
-        let s0 = ref (base + (i0 * r.r_len))
-        and sp = ref (r.r_src + (i0 * r.r_src_stride))
-        and dp = ref (r.r_dst + (i0 * r.r_dst_stride)) in
-        for _ = i0 to i1 do
-          let lo = if !s0 > off then !s0 else off
-          and hi =
-            let e = !s0 + r.r_len in
-            if e < stop then e else stop
-          in
-          if lo < hi then f (!sp + (lo - !s0)) (!dp + (lo - !s0)) (hi - lo);
-          s0 := !s0 + r.r_len;
-          sp := !sp + r.r_src_stride;
-          dp := !dp + r.r_dst_stride
-        done
-      end;
-      pos := base + total)
-    runs
-
 let pp_run ppf r =
   if r.r_count = 1 then
     Fmt.pf ppf "src+%d -> dst+%d : %d" r.r_src r.r_dst r.r_len

@@ -241,13 +241,6 @@ val message_datapath : src:addressing -> dst:addressing -> message -> datapath
     (sum of [r_count]). *)
 val nb_run_segments : run array -> int
 
-(** Visit the contiguous pieces of a message's run walk covering
-    elements [off, off + len) of its row-major payload order ([f src dst
-    n] per piece, in walk order) — the dynamic-slice primitive: a window
-    of the staged payload without materializing the whole message. *)
-val iter_run_slice :
-  run array -> off:int -> len:int -> (int -> int -> int -> unit) -> unit
-
 (** {!iter_box} restricted to positions [off, off + len) of the
     row-major packing walk — the scalar oracle's view of one slice. *)
 val iter_box_slice : box -> off:int -> len:int -> (int array -> unit) -> unit

@@ -61,20 +61,22 @@ let expand_runs runs =
         (List.init r.Redist.r_count Fun.id))
     runs
 
+(* All four (source, destination) addressing combinations of a plan. *)
+let addressings ~(src : Layout.t) ~(dst : Layout.t) =
+  let extents = src.Layout.extents in
+  [
+    (Redist.Row_major extents, Redist.Row_major extents);
+    (Redist.Row_major extents, Redist.Owner_local dst);
+    (Redist.Owner_local src, Redist.Row_major extents);
+    (Redist.Owner_local src, Redist.Owner_local dst);
+  ]
+
 (* Every message of the plan, under every (src, dst) addressing
    combination: compiled runs = per-element walk, pairwise and in
    order. *)
 let runs_exact ~(src : Layout.t) ~(dst : Layout.t) =
   let plan = Redist.plan_intervals ~src ~dst in
   let extents = src.Layout.extents in
-  let combos =
-    [
-      (Redist.Row_major extents, Redist.Row_major extents);
-      (Redist.Row_major extents, Redist.Owner_local dst);
-      (Redist.Owner_local src, Redist.Row_major extents);
-      (Redist.Owner_local src, Redist.Owner_local dst);
-    ]
-  in
   List.for_all
     (fun (m : Redist.message) ->
       List.for_all
@@ -92,7 +94,7 @@ let runs_exact ~(src : Layout.t) ~(dst : Layout.t) =
                  acc + (r.Redist.r_len * r.Redist.r_count))
                0 runs
              = m.Redist.m_count)
-        combos)
+        (addressings ~src ~dst))
     (plan.Redist.moves @ plan.Redist.locals)
 
 let prop_runs_exact =
@@ -445,8 +447,8 @@ let test_direct_overlap_inplace () =
       done)
 
 (* The same overlap discipline at the Buf level: blit is memmove in
-   both directions on one wrapper, and unsafe_blit's same-wrapper
-   fallback keeps short forward-overlapping copies correct too. *)
+   both directions on one wrapper, and copy_run's same-wrapper branch
+   keeps short overlapping runs correct in both directions too. *)
 let test_buf_overlap () =
   let fresh () = Buf.of_array (Array.init 12 float_of_int) in
   let check name expected b =
@@ -464,12 +466,264 @@ let test_buf_overlap () =
     [ 3.; 4.; 5.; 6.; 7.; 8.; 9.; 10.; 8.; 9.; 10.; 11. ]
     b;
   let b = fresh () in
-  Buf.unsafe_blit b 0 b 3 8;
-  check "unsafe_blit same-wrapper forward overlap"
+  Buf.copy_run b 0 0 b 3 0 8 1;
+  check "copy_run same-wrapper forward overlap"
     [ 0.; 1.; 2.; 0.; 1.; 2.; 3.; 4.; 5.; 6.; 7.; 11. ]
+    b;
+  let b = fresh () in
+  Buf.copy_run b 3 0 b 0 0 8 1;
+  check "copy_run same-wrapper backward overlap"
+    [ 3.; 4.; 5.; 6.; 7.; 8.; 9.; 10.; 8.; 9.; 10.; 11. ]
     b
 
-(* --- (d) Ivset.to_runs ----------------------------------------------------------- *)
+(* --- (e) Buf.copy_run against a per-element reference --------------------------- *)
+
+(* One strided run over a buffer of [size] elements: [count] segments of
+   [len] at [pos], [pos + stride], ... *)
+type side = { size : int; pos : int; stride : int }
+
+type run_case = { src : side; dst : side; len : int; count : int }
+
+let print_run_case c =
+  Printf.sprintf
+    "src={size=%d pos=%d stride=%d} dst={size=%d pos=%d stride=%d} len=%d \
+     count=%d"
+    c.src.size c.src.pos c.src.stride c.dst.size c.dst.pos c.dst.stride c.len
+    c.count
+
+(* Lengths across the kernel's unit / short / long boundaries (the blit
+   threshold is 256), and the degenerate 0. *)
+let gen_len =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, return 0);
+        (3, return 1);
+        (4, int_range 2 40);
+        (3, int_range 250 300);
+      ])
+
+let gen_stride len =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, return 0);
+        (1, return len);
+        (1, return (-len));
+        (3, int_range (-(len + 40)) (len + 40));
+      ])
+
+(* Elements [count] segments of [len] at stride [stride] span. *)
+let span ~len ~count ~stride = (max 0 (count - 1) * abs stride) + max len 1
+
+(* A start within two elements of the valid range on either side, so
+   some runs leave the buffer by one or two elements at either end. *)
+let gen_side ~len ~count ~stride ~size =
+  QCheck2.Gen.(
+    let vlo = if stride < 0 then max 0 (count - 1) * -stride else 0 in
+    let vhi = vlo + (size - span ~len ~count ~stride) in
+    let+ pos = int_range (vlo - 2) (vhi + 2) in
+    { size; pos; stride })
+
+(* Buffers that fit the run with up to 24 elements of slack; on one
+   wrapper ([same]) the buffer fits both sides. *)
+let gen_run_case ~same =
+  QCheck2.Gen.(
+    let* len = gen_len in
+    let* count = int_range 0 6 in
+    let* ss = gen_stride len in
+    let* ds = gen_stride len in
+    let sspan = span ~len ~count ~stride:ss
+    and dspan = span ~len ~count ~stride:ds in
+    let* slack_s = int_range 0 24 in
+    let* slack_d = int_range 0 24 in
+    let ssize = if same then max sspan dspan + slack_s else sspan + slack_s in
+    let dsize = if same then ssize else dspan + slack_d in
+    let* src = gen_side ~len ~count ~stride:ss ~size:ssize in
+    let+ dst = gen_side ~len ~count ~stride:ds ~size:dsize in
+    { src; dst; len; count })
+
+(* Every (source, destination) index pair the run copies, in order. *)
+let run_pairs c =
+  List.concat_map
+    (fun i ->
+      List.init c.len (fun j ->
+          ( c.src.pos + (i * c.src.stride) + j,
+            c.dst.pos + (i * c.dst.stride) + j )))
+    (List.init (max 0 c.count) Fun.id)
+
+let in_range n i = i >= 0 && i < n
+
+(* The reference: if any index leaves its buffer, [Invalid_argument] and
+   no write; otherwise every source element is read (in run order), then
+   written in the same order — memmove's result, which for distinct
+   buffers is plain element-by-element copying. *)
+let copy_run_matches ~same c =
+  let sbuf =
+    Buf.of_array (Array.init c.src.size (fun i -> float_of_int i +. 0.5))
+  in
+  let dbuf =
+    if same then sbuf
+    else Buf.of_array (Array.init c.dst.size (fun i -> -.float_of_int i -. 1.0))
+  in
+  let pairs = run_pairs c in
+  let valid =
+    List.for_all
+      (fun (s, d) -> in_range c.src.size s && in_range c.dst.size d)
+      pairs
+  in
+  let expected = Buf.to_array dbuf in
+  if valid then begin
+    let vals = List.map (fun (s, _) -> Buf.get sbuf s) pairs in
+    List.iter2 (fun (_, d) v -> expected.(d) <- v) pairs vals
+  end;
+  let raised =
+    match
+      Buf.copy_run sbuf c.src.pos c.src.stride dbuf c.dst.pos c.dst.stride
+        c.len c.count
+    with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  raised = not valid && Buf.to_array dbuf = expected
+
+let prop_copy_run_reference =
+  QCheck2.Test.make
+    ~name:"Buf.copy_run = per-element copy; out of range raises, no write"
+    ~print:print_run_case ~count:600 (gen_run_case ~same:false)
+    (copy_run_matches ~same:false)
+
+let prop_copy_run_aliased =
+  QCheck2.Test.make
+    ~name:"Buf.copy_run on one wrapper = memmove (read all, then write)"
+    ~print:print_run_case ~count:600 (gen_run_case ~same:true)
+    (copy_run_matches ~same:true)
+
+(* --- (f) slice walk = scalar box-slice walk ------------------------------------ *)
+
+(* Windows of a message's payload order worth checking: every window
+   when the message is small, otherwise starts and lengths around the
+   first run's segment length (mid-segment starts, windows shorter than
+   a segment, windows crossing segment and run boundaries) plus the full
+   range. *)
+let slice_windows ~count (runs : Redist.run array) =
+  if count <= 16 then
+    List.concat_map
+      (fun off -> List.init (count - off) (fun l -> (off, l + 1)))
+      (List.init count Fun.id)
+  else
+    let rl = if Array.length runs > 0 then runs.(0).Redist.r_len else 1 in
+    let pick xs lo hi =
+      List.sort_uniq compare (List.filter (fun x -> x >= lo && x <= hi) xs)
+    in
+    List.concat_map
+      (fun off ->
+        List.map
+          (fun len -> (off, len))
+          (pick
+             [ 1; 2; rl - 1; rl; rl + 1; 2 * rl; count / 2; count - off ]
+             1 (count - off)))
+      (pick [ 0; 1; rl - 1; rl; rl + 1; count / 2; count - 1 ] 0 (count - 1))
+
+(* [pack_slice] / [unpack_slice] of one window against the scalar walk
+   over [Redist.iter_box_slice], with buffer addresses from the oracle
+   addressing; staging slots past the window and payload elements
+   outside it must stay untouched. *)
+let slice_matches ~extents ~sa ~da (m : Redist.message) runs (off, len) =
+  let size = Array.fold_left ( * ) 1 extents in
+  let sbuf = Buf.of_array (Array.init size (fun i -> float_of_int i +. 0.5)) in
+  let staging = Buf.of_array (Array.make (len + 2) (-7.0)) in
+  let expected_staging = Array.make (len + 2) (-7.0) in
+  let k = ref 0 in
+  Redist.iter_box_slice m.Redist.m_box ~off ~len (fun index ->
+      expected_staging.(!k) <- Buf.get sbuf (oracle_address sa extents index);
+      incr k);
+  Comm.pack_slice runs sbuf staging ~off ~len;
+  let packed = Buf.to_array staging = expected_staging && !k = len in
+  let staging =
+    Buf.of_array (Array.init (len + 2) (fun k -> 1000.0 +. float_of_int k))
+  in
+  let dbuf = Buf.create size in
+  let expected_dst = Array.make size 0.0 in
+  let k = ref 0 in
+  Redist.iter_box_slice m.Redist.m_box ~off ~len (fun index ->
+      expected_dst.(oracle_address da extents index) <- Buf.get staging !k;
+      incr k);
+  Comm.unpack_slice runs staging dbuf ~off ~len;
+  packed && Buf.to_array dbuf = expected_dst
+
+let slices_match ~(src : Layout.t) ~(dst : Layout.t) =
+  let plan = Redist.plan_intervals ~src ~dst in
+  let extents = src.Layout.extents in
+  List.for_all
+    (fun (m : Redist.message) ->
+      List.for_all
+        (fun (sa, da) ->
+          let runs = Redist.message_runs ~src:sa ~dst:da m in
+          List.for_all
+            (slice_matches ~extents ~sa ~da m runs)
+            (slice_windows ~count:m.Redist.m_count runs))
+        (addressings ~src ~dst))
+    (plan.Redist.moves @ plan.Redist.locals)
+
+let prop_slices_scalar =
+  QCheck2.Test.make
+    ~name:"pack_slice/unpack_slice = scalar box-slice walk, all addressings"
+    ~print:Test_redist_props.print_pair ~count:150 Test_redist_props.gen_pair
+    (fun (src, dst) -> slices_match ~src ~dst)
+
+(* Multi-dimensional and strided corners the 1-D generator cannot reach,
+   with a check that the windows tried really include each shape: a
+   start inside a segment, a window shorter than a segment, one that
+   crosses a run boundary, and the full range. *)
+let test_slices_corners () =
+  let grid_2d ~extents dists =
+    Layout.of_mapping ~extents
+      (Mapping.direct ~array_name:"a" ~extents ~dist:dists
+         ~procs:(Procs.make "G" [| 2; 2 |]))
+  in
+  let e2 = [| 8; 6 |] in
+  let pairs =
+    [
+      ( "2-D corner turn",
+        layout_nd ~extents:e2 [| Dist.block; Dist.star |] 4,
+        layout_nd ~extents:e2 [| Dist.star; Dist.block |] 4 );
+      ( "2-D block -> cyclic both dims",
+        grid_2d ~extents:e2 [| Dist.block; Dist.cyclic |],
+        grid_2d ~extents:e2 [| Dist.cyclic; Dist.block_sized 3 |] );
+      ( "block -> cyclic(3)",
+        layout_nd ~extents:[| 40 |] [| Dist.block |] 2,
+        layout_nd ~extents:[| 40 |] [| Dist.cyclic_sized 3 |] 2 );
+    ]
+  in
+  let mid = ref false and short = ref false in
+  let cross = ref false and full = ref false in
+  List.iter
+    (fun (name, src, dst) ->
+      Alcotest.(check bool) name true (slices_match ~src ~dst);
+      let plan = Redist.plan_intervals ~src ~dst in
+      List.iter
+        (fun (m : Redist.message) ->
+          let runs =
+            Redist.message_runs ~src:(Redist.Owner_local src)
+              ~dst:(Redist.Row_major src.Layout.extents) m
+          in
+          let r = runs.(0) in
+          let rl = r.Redist.r_len and r0 = r.Redist.r_len * r.Redist.r_count in
+          List.iter
+            (fun (off, len) ->
+              if off mod rl <> 0 && off < r0 then mid := true;
+              if len < rl then short := true;
+              if off < r0 && off + len > r0 then cross := true;
+              if off = 0 && len = m.Redist.m_count then full := true)
+            (slice_windows ~count:m.Redist.m_count runs))
+        plan.Redist.moves)
+    pairs;
+  Alcotest.(check (list bool))
+    "window shapes covered" [ true; true; true; true ]
+    [ !mid; !short; !cross; !full ]
+
+(* --- (g) Ivset.to_runs ----------------------------------------------------------- *)
 
 let test_ivset_to_runs () =
   let p =
@@ -503,5 +757,9 @@ let suite =
     Alcotest.test_case "direct path in-place overlap" `Quick
       test_direct_overlap_inplace;
     Alcotest.test_case "Buf overlap semantics" `Quick test_buf_overlap;
+    Qcheck_env.to_alcotest prop_copy_run_reference;
+    Qcheck_env.to_alcotest prop_copy_run_aliased;
+    Qcheck_env.to_alcotest prop_slices_scalar;
+    Alcotest.test_case "slice walk corners" `Quick test_slices_corners;
     Alcotest.test_case "Ivset.to_runs" `Quick test_ivset_to_runs;
   ]
